@@ -19,6 +19,18 @@
 // restricted to writes, with writing-semantics skips counting as logical
 // applies at the instant of the skip) and LIVENESS (every write applied or
 // skipped everywhere by end of run).
+//
+// Cost: one sweep over the event log in ascending `order`, keeping per
+// process a bitset of the writes applied so far.  At each first apply of a
+// at p_k, the set bits of row(a) ∧ applied_k are exactly the safety
+// violations; at each buffered receipt of w, past(w) ∧ subscribed_k ∧
+// ¬applied_k decides Definition 3's necessity and its lowest bit is the
+// witness (past is the closure's write-only transpose, built per audit).
+// O(E log E + E·N/64 + n·N) for E events, N operations and n processes,
+// plus one bit store per ↦co-ordered pair of writes for the transpose —
+// where checking every ↦co pair at every process cost O(n·W²) hash lookups.
+// docs/PERF.md §5 has the measurements; tests/test_audit_sweep.cpp keeps the
+// pairwise reading as a differential oracle.
 
 #pragma once
 
@@ -79,7 +91,8 @@ class OptimalityAuditor {
  public:
   /// Audits a recorded run.  Requires the history's ↦co to be acyclic (runs
   /// of correct protocols always are; the consistency checker reports the
-  /// precise violation otherwise).
+  /// precise violation otherwise), every receipt/apply/skip event to name a
+  /// process of the history, and every buffered write to be in it.
   [[nodiscard]] static AuditReport audit(const RunRecorder& recorder);
 
   /// With a subscription map (subscription-routed runs): the liveness

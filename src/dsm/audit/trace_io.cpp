@@ -371,7 +371,7 @@ std::optional<ImportedRun> import_trace_jsonl(std::string_view text) {
         return std::nullopt;
       }
       const auto parsed_kind = parse_ev_kind(*kind);
-      if (!parsed_kind) return std::nullopt;
+      if (!parsed_kind || *at >= history->n_procs()) return std::nullopt;
       e.order = *order;
       e.time = *time;
       e.at = static_cast<ProcessId>(*at);

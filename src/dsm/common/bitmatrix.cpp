@@ -58,6 +58,11 @@ std::vector<std::size_t> BitMatrix::row_members(std::size_t row) const {
   return out;
 }
 
+std::span<const std::uint64_t> BitMatrix::row(std::size_t r) const noexcept {
+  DSM_REQUIRE(r < n_);
+  return {bits_.data() + r * words_per_row(), words_per_row()};
+}
+
 bool BitMatrix::row_subset(std::size_t a, std::size_t b) const noexcept {
   DSM_REQUIRE(a < n_ && b < n_);
   const std::size_t wpr = words_per_row();

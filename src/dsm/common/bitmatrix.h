@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace dsm {
@@ -34,6 +35,10 @@ class BitMatrix {
 
   /// Column indices of the set bits of a row, ascending.
   [[nodiscard]] std::vector<std::size_t> row_members(std::size_t row) const;
+
+  /// The packed words of a row: bit c%64 of word c/64 is column c; the bits
+  /// past column size()-1 in the last word are zero.
+  [[nodiscard]] std::span<const std::uint64_t> row(std::size_t r) const noexcept;
 
   /// True iff row `a` is a (non-strict) subset of row `b`.
   [[nodiscard]] bool row_subset(std::size_t a, std::size_t b) const noexcept;

@@ -13,7 +13,9 @@
 
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "dsm/common/bitmatrix.h"
@@ -46,6 +48,13 @@ class CoRelation {
 
   /// w ‖co w' for two writes.
   [[nodiscard]] bool write_concurrent(WriteId w, WriteId w2) const;
+
+  /// The operations `o` precedes, as packed words over OpRefs: bit b%64 of
+  /// word b/64 is set iff o ↦co b.  Bulk readers (the optimality auditor)
+  /// AND it with their own OpRef-indexed sets.
+  [[nodiscard]] std::span<const std::uint64_t> row(OpRef o) const noexcept {
+    return reach_.row(o);
+  }
 
   /// |↓(o, ↦co)|.
   [[nodiscard]] std::size_t causal_past_size(OpRef o) const noexcept;

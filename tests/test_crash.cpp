@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <ostream>
 #include <thread>
 #include <vector>
 
@@ -155,6 +156,15 @@ struct CrashParams {
   double drop;
   std::uint64_t seed;
 };
+
+// gtest's default printer dumps the raw bytes, uninitialised padding
+// included, and gtest_discover_tests copies that into the ctest name, which
+// then changed from one build to the next.
+void PrintTo(const CrashParams& p, std::ostream* os) {
+  *os << to_string(p.kind) << " crashes=" << p.crashes
+      << " partition_us=" << p.partition_len << " drop=" << p.drop
+      << " seed=" << p.seed;
+}
 
 SimRunConfig crash_config(const CrashParams& p, const LatencyModel& latency) {
   SimRunConfig cfg;

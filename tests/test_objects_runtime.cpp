@@ -115,7 +115,10 @@ TEST(ObjectsThreadCluster, TypedOpsConvergeAcrossReplicas) {
   ThreadCluster cluster(cfg);
 
   EXPECT_EQ(cluster.mutate(0, 0, SpecId::kCounter, OpCode::kInc, 5), 5);
-  EXPECT_EQ(cluster.mutate(1, 0, SpecId::kCounter, OpCode::kInc, 2), 2);
+  // mutate() returns the issuer's state after the apply, so p1 must have
+  // applied p0's +5 before its own +2 for the result to be fixed.
+  ASSERT_TRUE(cluster.await_quiescence(5000ms));
+  EXPECT_EQ(cluster.mutate(1, 0, SpecId::kCounter, OpCode::kInc, 2), 7);
   EXPECT_EQ(cluster.mutate(2, 1, SpecId::kCounter, OpCode::kDec, 4), -4);
   ASSERT_TRUE(cluster.await_quiescence(5000ms));
 

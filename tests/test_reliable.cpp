@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "dsm/audit/auditor.h"
@@ -380,6 +381,12 @@ struct LossyParams {
   double duplicate;
   std::uint64_t seed;
 };
+
+// Readable and stable ctest names; see PrintTo(CrashParams) in test_crash.
+void PrintTo(const LossyParams& p, std::ostream* os) {
+  *os << to_string(p.kind) << " drop=" << p.drop << " dup=" << p.duplicate
+      << " seed=" << p.seed;
+}
 
 class LossySweep : public ::testing::TestWithParam<LossyParams> {};
 

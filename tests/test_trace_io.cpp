@@ -204,6 +204,21 @@ TEST(TraceIo, PartialTypedFieldsRejected) {
   }
 }
 
+TEST(TraceIo, EventAtProcessOutsideTheRunRejected) {
+  // The auditor indexes its tables by the event's process, so the import
+  // refuses an `at` the meta line does not cover.
+  const auto trace = [](int at) {
+    return "{\"type\":\"meta\",\"procs\":2,\"vars\":1}\n"
+           "{\"type\":\"ev\",\"order\":0,\"time\":0,\"at\":" +
+           std::to_string(at) +
+           ",\"kind\":\"receipt\",\"wproc\":0,\"wseq\":1,\"oproc\":0,"
+           "\"oseq\":0,\"var\":0,\"value\":0,\"delayed\":0,"
+           "\"clock\":[]}\n";
+  };
+  EXPECT_TRUE(import_trace_jsonl(trace(1)).has_value());
+  EXPECT_FALSE(import_trace_jsonl(trace(2)).has_value());
+}
+
 TEST(TraceIo, WriteIdMismatchDetected) {
   // An op line claiming the wrong sequence number must be rejected.
   const char* text =

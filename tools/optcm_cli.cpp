@@ -828,8 +828,18 @@ int cmd_replay(Flags& flags) {
     std::fprintf(stderr, "malformed trace\n");
     return 1;
   }
-  const auto audit = OptimalityAuditor::audit(imported->history, imported->events);
+  // The auditor needs ↦co; a trace whose reads-from cites an unrecorded
+  // write or closes a cycle has none, so report the checker's verdict alone.
   const auto check = ConsistencyChecker::check(imported->history);
+  if (!CoRelation::build(imported->history)) {
+    std::printf("causally consistent: NO (not audited: the trace has no "
+                "causal order)\n");
+    for (const auto& v : check.violations) {
+      std::printf("  %s: %s\n", to_string(v.kind), v.detail.c_str());
+    }
+    return 1;
+  }
+  const auto audit = OptimalityAuditor::audit(imported->history, imported->events);
   Table table({"metric", "value"});
   table.add("operations", imported->history.size());
   table.add("events", imported->events.size());

@@ -1,14 +1,14 @@
 #!/bin/sh
-# Regenerate results/repro_outputs.txt and results/exp_outputs.txt from the
-# built benches.  Run from the repo root after a full build:
+# Regenerate the checked-in results/ files from the built benches.  Run from
+# the repo root after a full build:
 #
 #   cmake -B build -S . && cmake --build build -j
 #   tools/regen_results.sh [build_dir]
 #
-# repro_* benches reproduce the paper's exact artifacts (Part A of
-# EXPERIMENTS.md); exp_* benches are the quantitative sweeps (Part B/D).
-# Every bench is seeded and deterministic, so these files only change when
-# the code's behavior does — diffs in them belong in the PR that caused them.
+# results/repro_outputs.txt and results/exp_outputs.txt come from
+# tools/bench_outputs.sh (seeded and deterministic; the results_oracle ctest
+# compares them against a fresh run) — diffs in them belong in the PR that
+# caused them.
 set -eu
 
 build="${1:-build}"
@@ -17,23 +17,7 @@ if [ ! -d "$build/bench" ]; then
   exit 1
 fi
 
-run_group() {
-  out="$1"
-  shift
-  : > "$out"
-  for name in "$@"; do
-    echo "===== build/bench/$name ====="
-    "$build/bench/$name"
-  done > "$out"
-  echo "wrote $out"
-}
-
-run_group results/repro_outputs.txt \
-  repro_table1 repro_table2 repro_fig1_fig2 repro_fig3_fig6 repro_fig7
-
-run_group results/exp_outputs.txt \
-  exp_delays exp_false_causality exp_buffering exp_metadata exp_ws \
-  exp_loss exp_partial exp_crash
+sh "$(dirname "$0")/bench_outputs.sh" "$build" results
 
 # The hot-path baseline (docs/PERF.md): measured drain/broadcast numbers in
 # machine-readable form.  Wall-clock figures vary with the host; the structural
