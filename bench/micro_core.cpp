@@ -298,24 +298,33 @@ DrainMeasure measure_cascade(std::size_t k, bool reference, int reps = 3) {
 
 /// End-to-end drain-heavy simulation cell: n=16, write-heavy, 15% datagram
 /// loss through the ARQ layer — RTO-length delivery gaps manufacture deep
-/// pending buffers (the exp_delays/exp_loss high-loss regime).
-DrainMeasure measure_sim_cell(bool reference, int reps = 3) {
+/// pending buffers (the exp_delays/exp_loss high-loss regime).  With a
+/// subscription map the same cell runs ShardedOptP on a subscriber workload
+/// over 16 variables.
+DrainMeasure measure_sim_cell(
+    bool reference,
+    const std::shared_ptr<const SubscriptionMap>& subscription = nullptr,
+    int reps = 3) {
   WorkloadSpec spec;
   spec.n_procs = 16;
-  spec.n_vars = 8;
+  spec.n_vars = subscription != nullptr ? subscription->n_vars() : 8;
   spec.ops_per_proc = 150;
   spec.write_fraction = 0.8;
   spec.mean_gap = sim_us(200);
   spec.seed = 11;
-  const auto scripts = generate_workload(spec);
+  const auto scripts = subscription != nullptr
+                           ? generate_subscriber_workload(spec, *subscription)
+                           : generate_workload(spec);
   const auto latency = make_latency(LatencyKind::kUniform, sim_us(400), 0.8, 7);
   DrainMeasure best;
   for (int rep = 0; rep < reps; ++rep) {
     SimRunConfig cfg;
-    cfg.kind = ProtocolKind::kOptP;
+    cfg.kind = subscription != nullptr ? ProtocolKind::kOptPSharded
+                                       : ProtocolKind::kOptP;
     cfg.n_procs = spec.n_procs;
     cfg.n_vars = spec.n_vars;
     cfg.latency = latency.get();
+    cfg.protocol_config.subscription = subscription;
     cfg.fault.drop = 0.15;
     cfg.fault.seed = 5;
     cfg.arq.rto = sim_ms(2);
@@ -400,6 +409,24 @@ bool write_core_json(const std::string& path) {
                  ? 0
                  : idx.applies_per_sec() / ref.applies_per_sec());
     doc.obj("sim_loss_n16", std::move(cell));
+  }
+  {
+    const auto map = std::make_shared<const SubscriptionMap>(
+        SubscriptionMap::chained(16, 16, 4));
+    const DrainMeasure ref = measure_sim_cell(/*reference=*/true, map);
+    const DrainMeasure idx = measure_sim_cell(/*reference=*/false, map);
+    JsonObject cell;
+    cell.str("description",
+             "sim_loss_n16 for optp-sharded under chained:4 (16 vars, "
+             "subscriber workload): the shared indexed drain on the "
+             "dependency-matrix wait condition");
+    cell.obj("before_reference_drain", ref.json());
+    cell.obj("after_indexed_drain", idx.json());
+    cell.num("apply_throughput_speedup",
+             ref.applies_per_sec() <= 0
+                 ? 0
+                 : idx.applies_per_sec() / ref.applies_per_sec());
+    doc.obj("sim_loss_n16_sharded", std::move(cell));
   }
 
   // Bytes copied per broadcast: before encode-once the endpoint copied the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <map>
 #include <numeric>
 #include <span>
 #include <tuple>
@@ -18,6 +19,21 @@ constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
 [[nodiscard]] bool is_apply(EvKind k) noexcept {
   return k == EvKind::kApply || k == EvKind::kSkip;
+}
+
+/// Was the message behind `receipt` buffered?  `applied` is the first apply
+/// or skip of the same write at the same process (null if none).  Trust the
+/// protocol's own flag when the write was applied; a write skipped after
+/// buffering has no apply event with a flag, so infer from "anything
+/// happened in between" — a skip at the very next order superseded the
+/// message on arrival.
+[[nodiscard]] bool was_buffered(const RunEvent& receipt,
+                                const RunEvent* applied) noexcept {
+  if (applied == nullptr) return false;
+  if (applied->kind == EvKind::kApply) {
+    return applied->order > receipt.order && applied->delayed;
+  }
+  return applied->kind == EvKind::kSkip && applied->order > receipt.order + 1;
 }
 
 /// Equal-length rows of packed bits over OpRefs (bit b%64 of word b/64).
@@ -89,6 +105,28 @@ std::uint64_t AuditReport::total_unnecessary() const {
 
 AuditReport OptimalityAuditor::audit(const RunRecorder& recorder) {
   return audit(recorder.history(), recorder.events());
+}
+
+std::optional<std::size_t> OptimalityAuditor::first_unrecorded_delay(
+    const GlobalHistory& history, const std::vector<RunEvent>& events) {
+  // First apply or skip, in log position, of each (process, unrecorded
+  // write) — the same pairing audit() classifies receipts by.
+  std::map<std::pair<ProcessId, WriteId>, std::size_t> first;
+  for (std::size_t j = 0; j < events.size(); ++j) {
+    const RunEvent& e = events[j];
+    if (is_apply(e.kind) && !history.find_write(e.write)) {
+      first.try_emplace({e.at, e.write}, j);
+    }
+  }
+  for (std::size_t j = 0; j < events.size(); ++j) {
+    const RunEvent& e = events[j];
+    if (e.kind != EvKind::kReceipt || history.find_write(e.write)) continue;
+    const auto it = first.find({e.at, e.write});
+    if (was_buffered(e, it == first.end() ? nullptr : &events[it->second])) {
+      return j;
+    }
+  }
+  return std::nullopt;
 }
 
 std::uint64_t OptimalityAuditor::message_floor(
@@ -216,18 +254,7 @@ AuditReport OptimalityAuditor::audit(const GlobalHistory& history,
       const std::uint32_t fj = first_of(j);
       const RunEvent* applied_ev = fj == kNone ? nullptr : &events[fj];
 
-      // Was the message buffered?  Trust the protocol's own flag when the
-      // write was applied; a write skipped after buffering has no apply
-      // event with a flag, so infer from "anything happened in between".
-      bool delayed = false;
-      if (applied_ev != nullptr && applied_ev->kind == EvKind::kApply &&
-          applied_ev->order > e.order) {
-        delayed = applied_ev->delayed;
-      } else if (applied_ev != nullptr && applied_ev->kind == EvKind::kSkip &&
-                 applied_ev->order > e.order + 1) {
-        delayed = true;  // buffered, then superseded
-      }
-      if (!delayed) continue;
+      if (!was_buffered(e, applied_ev)) continue;
 
       ++pa.delayed;
       DelayIncident inc;

@@ -35,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -104,6 +105,13 @@ class OptimalityAuditor {
   [[nodiscard]] static AuditReport audit(
       const GlobalHistory& history, const std::vector<RunEvent>& events,
       const SubscriptionMap* subscription = nullptr);
+
+  /// Log position of the first receipt audit() cannot classify: one whose
+  /// message was buffered although the history lacks its write (Definition
+  /// 3 needs the write's causal past).  nullopt when every buffered receipt
+  /// cites a recorded write.  Imported traces check this before auditing.
+  [[nodiscard]] static std::optional<std::size_t> first_unrecorded_delay(
+      const GlobalHistory& history, const std::vector<RunEvent>& events);
 
   /// The message floor a subscription-routed run cannot beat (after Xiang &
   /// Vaidya's lower bound): every write must reach each foreign subscriber

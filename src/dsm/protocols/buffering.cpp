@@ -45,20 +45,18 @@ void BufferingProtocol::record_winner(VarId x, const VectorClock& clock,
 }
 
 bool BufferingProtocol::is_stale(const WriteUpdate& m) const {
-  return applied_[m.sender] >= m.write_seq;
+  return applied_[m.sender] >= sender_seq(m);
 }
 
 bool BufferingProtocol::can_apply(const WriteUpdate& m) const {
   const ProcessId u = m.sender;
-  DSM_REQUIRE(u < n_procs_);
-  DSM_REQUIRE(m.clock.size() == n_procs_);
-  DSM_REQUIRE(m.write_seq >= 1);
+  const SeqNo seq = sender_seq(m);
 
   // First conjunct: sender progress.  Without writing semantics the message
   // must be the very next write of u; with it, the gap may lie inside the
   // superseded run.  Clamp the sender-declared run defensively.
-  const std::uint64_t run = ws_ ? std::min<std::uint64_t>(m.run, m.write_seq - 1) : 0;
-  if (applied_[u] + 1 + run < m.write_seq) return false;
+  const std::uint64_t run = ws_ ? std::min<std::uint64_t>(m.run, seq - 1) : 0;
+  if (applied_[u] + 1 + run < seq) return false;
   if (is_stale(m)) return false;
 
   // Second conjunct: every foreign causal dependency already applied.
@@ -71,10 +69,10 @@ bool BufferingProtocol::can_apply(const WriteUpdate& m) const {
 
 std::uint64_t BufferingProtocol::enabling_deficit(const WriteUpdate& m) const {
   const ProcessId u = m.sender;
-  const std::uint64_t run = ws_ ? std::min<std::uint64_t>(m.run, m.write_seq - 1) : 0;
+  const SeqNo seq = sender_seq(m);
+  const std::uint64_t run = ws_ ? std::min<std::uint64_t>(m.run, seq - 1) : 0;
   std::uint64_t missing = 0;
-  if (applied_[u] + 1 + run < m.write_seq)
-    missing += m.write_seq - 1 - run - applied_[u];
+  if (applied_[u] + 1 + run < seq) missing += seq - 1 - run - applied_[u];
   for (ProcessId t = 0; t < n_procs_; ++t) {
     if (t == u) continue;
     if (m.clock[t] > applied_[t]) missing += m.clock[t] - applied_[t];
@@ -92,6 +90,10 @@ void BufferingProtocol::on_message(ProcessId from,
 
   ++stats_.messages_received;
   observer_->on_receipt(self_, *update);
+  localize(*update);
+  DSM_REQUIRE(update->sender < n_procs_);
+  DSM_REQUIRE(update->clock.size() == n_procs_);
+  DSM_REQUIRE(sender_seq(*update) >= 1);
 
   if (is_stale(*update)) {
     // Already superseded by a writing-semantics jump; the skip itself was
@@ -119,15 +121,17 @@ void BufferingProtocol::on_message(ProcessId from,
 
 void BufferingProtocol::apply_events(const WriteUpdate& m, bool delayed) {
   const ProcessId u = m.sender;
+  const SeqNo seq = sender_seq(m);
 
-  // Writing semantics: everything in (Apply[u], write_seq) is superseded by
-  // this message — logically applied immediately before it.
-  for (SeqNo k = applied_[u] + 1; k < m.write_seq; ++k) {
+  // Writing semantics: everything in (Apply[u], seq) is superseded by this
+  // message — logically applied immediately before it.  (Only OptP and
+  // ANBKH skip, and for them seq == write_seq.)
+  for (SeqNo k = applied_[u] + 1; k < seq; ++k) {
     ++stats_.skipped_writes;
     observer_->on_skip(self_, WriteId{u, k}, WriteId{u, m.write_seq});
   }
 
-  applied_[u] = m.write_seq;
+  applied_[u] = seq;
   // Partial replication: metadata-only copies advance the counters (the
   // Fig. 5 wait condition needs them) but install no value.  Convergent
   // mode additionally suppresses values outranked by the current holder.
@@ -159,8 +163,8 @@ void BufferingProtocol::buffer_indexed(WriteUpdate m) {
   // A second pending copy of the same write is the only way a message can
   // turn stale later without writing semantics — remember we saw one so
   // purge passes stop being skippable.
-  if (!duplicate_seen_ && fifo.contains(m.write_seq)) duplicate_seen_ = true;
-  fifo.emplace(m.write_seq, stamp);
+  if (!duplicate_seen_ && fifo.contains(sender_seq(m))) duplicate_seen_ = true;
+  fifo.emplace(sender_seq(m), stamp);
   const auto [it, inserted] = registry_.emplace(stamp, std::move(m));
   DSM_ENSURE(inserted);
   track_peak();
@@ -173,13 +177,14 @@ void BufferingProtocol::buffer_indexed(WriteUpdate m) {
 void BufferingProtocol::watch_or_ready(std::uint64_t stamp,
                                        const WriteUpdate& m) {
   const ProcessId u = m.sender;
-  const std::uint64_t run = ws_ ? std::min<std::uint64_t>(m.run, m.write_seq - 1) : 0;
+  const SeqNo seq = sender_seq(m);
+  const std::uint64_t run = ws_ ? std::min<std::uint64_t>(m.run, seq - 1) : 0;
   // First failing conjunct of the Fig. 5 wait condition, expressed as "the
   // apply counter of process t must reach `threshold`".  Registering under
   // one condition suffices: when it fires the message is re-examined and, if
   // still blocked, re-registered under the next failing conjunct.
-  if (applied_[u] + 1 + run < m.write_seq) {
-    watch_[u][m.write_seq - 1 - run].push_back(stamp);
+  if (applied_[u] + 1 + run < seq) {
+    watch_[u][seq - 1 - run].push_back(stamp);
     return;
   }
   for (ProcessId t = 0; t < n_procs_; ++t) {
@@ -251,8 +256,8 @@ std::optional<WriteUpdate> BufferingProtocol::take_ready() {
     WriteUpdate m = std::move(it->second);
     registry_.erase(it);
     auto& fifo = by_sender_[m.sender];
-    for (auto f = fifo.lower_bound(m.write_seq);
-         f != fifo.end() && f->first == m.write_seq; ++f) {
+    for (auto f = fifo.lower_bound(sender_seq(m));
+         f != fifo.end() && f->first == sender_seq(m); ++f) {
       if (f->second == stamp) {
         fifo.erase(f);
         break;
@@ -388,15 +393,18 @@ bool BufferingProtocol::restore(ByteReader& r) {
   self_dirty_ = false;
   for (std::uint64_t i = 0; i < *n_pending; ++i) {
     auto m = WriteUpdate::decode(r);
-    if (!m || m->clock.size() != n_procs_) return false;
+    if (!m || m->sender >= n_procs_ || m->clock.size() != n_procs_ ||
+        sender_seq(*m) == 0) {
+      return false;
+    }
     if (reference_drain_) {
       pending_.push_back(std::move(*m));
     } else {
       const std::uint64_t stamp = next_stamp_++;
       auto& fifo = by_sender_[m->sender];
-      if (!duplicate_seen_ && fifo.contains(m->write_seq))
+      if (!duplicate_seen_ && fifo.contains(sender_seq(*m)))
         duplicate_seen_ = true;
-      fifo.emplace(m->write_seq, stamp);
+      fifo.emplace(sender_seq(*m), stamp);
       const auto [it, inserted] = registry_.emplace(stamp, std::move(*m));
       if (!inserted) return false;
       watch_or_ready(stamp, it->second);

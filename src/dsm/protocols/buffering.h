@@ -1,14 +1,14 @@
 // optcm — shared receive-side machinery for vector-condition protocols.
 //
-// OptP and ANBKH differ in *which* vector they piggyback and *when* they
-// merge it (on reads vs. on applies) — the receive side is structurally
-// identical: check an enabling condition against per-sender apply counters,
-// apply immediately or buffer, and drain the buffer to a fixpoint after every
-// apply (the paper's "synchronization thread", Fig. 5).  BufferingProtocol
-// factors that machinery, including the optional writing-semantics extension
-// (paper Section 3.6 / footnote 8):
+// OptP, ANBKH and ShardedOptP differ in *which* vector they piggyback and
+// *when* they merge it (on reads vs. on applies) — the receive side is
+// structurally identical: check an enabling condition against per-sender
+// apply counters, apply immediately or buffer, and drain the buffer to a
+// fixpoint after every apply (the paper's "synchronization thread", Fig. 5).
+// BufferingProtocol factors that machinery, including the optional
+// writing-semantics extension (paper Section 3.6 / footnote 8):
 //
-//   * without writing semantics, a message from p_u carrying write_seq = s
+//   * without writing semantics, a message from p_u carrying clock[u] = s
 //     applies when Apply[u] == s−1 and ∀t≠u : clock[t] ≤ Apply[t]
 //     (exactly Fig. 5 line 2);
 //   * with writing semantics, the sender marks each message with the length
@@ -18,6 +18,13 @@
 //     immediately before" (skipped), which is sound because the run
 //     construction guarantees no write on another variable lies ↦co-between
 //     a skipped write and this one.
+//
+// The wait condition reads only the message's clock: clock[u] is the
+// sender's sequence number in the receiver's counter space.  OptP and ANBKH
+// tick their own entry before copying the clock into the message, so there
+// clock[u] == write_seq.  ShardedOptP counts only receiver-relevant writes;
+// its localize() hook rewrites the clock to row self of the carried
+// dependency matrix.  write_seq then only names the write (WriteId).
 //
 // The buffer is dependency-indexed (docs/PERF.md): every blocked message is
 // registered in a watch index under the FIRST apply counter that still fails
@@ -81,6 +88,18 @@ class BufferingProtocol : public CausalProtocol {
   [[nodiscard]] bool restore(ByteReader& r) override;
 
  protected:
+  /// Receive hook, run once per update right after the observer saw its
+  /// receipt and before the wait condition reads it.  A subclass may check
+  /// routing and rewrite m.clock into this process's counter space (the
+  /// rewritten clock is what the buffer keeps).  Default: nothing.
+  virtual void localize(WriteUpdate& /*m*/) {}
+
+  /// The sender's sequence number in this process's counter space.
+  /// \pre m.sender < m.clock.size() (on_message and restore check it).
+  [[nodiscard]] static SeqNo sender_seq(const WriteUpdate& m) {
+    return m.clock.components()[m.sender];
+  }
+
   /// Fig. 5 line 2 (with the optional writing-semantics relaxation).
   [[nodiscard]] bool can_apply(const WriteUpdate& m) const;
 
@@ -125,7 +144,7 @@ class BufferingProtocol : public CausalProtocol {
   //   * registry_ holds every pending message keyed by a monotone arrival
   //     stamp — map order IS arrival order, so snapshots and iteration stay
   //     byte-identical to the seed's insertion-ordered vector;
-  //   * by_sender_[u] mirrors registry_ as (write_seq → stamp), the
+  //   * by_sender_[u] mirrors registry_ as (sender_seq → stamp), the
   //     seq-ordered FIFO used for O(stale) purges and duplicate detection;
   //   * every live stamp is registered in exactly ONE place: a watch_[t]
   //     bucket (keyed by the apply-counter value of t that would satisfy the
@@ -173,7 +192,7 @@ class BufferingProtocol : public CausalProtocol {
   // Indexed-engine storage (empty in reference mode).
   std::map<std::uint64_t, WriteUpdate> registry_;  // arrival stamp → message
   std::uint64_t next_stamp_ = 0;
-  /// Per sender: write_seq → stamp (multimap: duplicate deliveries of the
+  /// Per sender: sender_seq → stamp (multimap: duplicate deliveries of the
   /// same write may both sit pending until one applies).
   std::vector<std::multimap<SeqNo, std::uint64_t>> by_sender_;
   /// Per process t: threshold → stamps to re-examine once applied_[t] ≥

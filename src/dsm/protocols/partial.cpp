@@ -7,18 +7,18 @@ namespace dsm {
 PartialOptP::PartialOptP(ProcessId self, std::size_t n_procs,
                          std::size_t n_vars, Endpoint& endpoint,
                          ProtocolObserver& observer,
-                         std::shared_ptr<const ReplicationMap> replication,
+                         std::shared_ptr<const SubscriptionMap> subscription,
                          bool writing_semantics, std::size_t write_blob_size)
     : OptP(self, n_procs, n_vars, endpoint, observer, writing_semantics,
            write_blob_size),
-      replication_(std::move(replication)) {
-  DSM_REQUIRE(replication_ != nullptr);
-  DSM_REQUIRE(replication_->n_procs() == n_procs);
-  DSM_REQUIRE(replication_->n_vars() == n_vars);
+      subscription_(std::move(subscription)) {
+  DSM_REQUIRE(subscription_ != nullptr);
+  DSM_REQUIRE(subscription_->n_procs() == n_procs);
+  DSM_REQUIRE(subscription_->n_vars() == n_vars);
 }
 
 void PartialOptP::write(VarId x, Value v) {
-  DSM_REQUIRE(replication_->is_replica(x, self_) &&
+  DSM_REQUIRE(subscription_->is_subscriber(x, self_) &&
               "writes are restricted to the variable's replicas");
   const WriteUpdate& full = prepare_write(x, v);
 
@@ -32,15 +32,15 @@ void PartialOptP::write(VarId x, Value v) {
   const Payload meta_bytes = encode_payload(meta);
   for (ProcessId to = 0; to < n_procs_; ++to) {
     if (to == self_) continue;
-    endpoint_->send(to, replication_->is_replica(x, to) ? full_bytes
-                                                        : meta_bytes);
+    endpoint_->send(to, subscription_->is_subscriber(x, to) ? full_bytes
+                                                            : meta_bytes);
   }
 
   finish_write(full);
 }
 
 ReadResult PartialOptP::read(VarId x) {
-  DSM_REQUIRE(replication_->is_replica(x, self_) &&
+  DSM_REQUIRE(subscription_->is_subscriber(x, self_) &&
               "reads are restricted to the variable's replicas");
   return OptP::read(x);
 }

@@ -17,14 +17,19 @@
 //   * the data-plane saving is (1 − factor/n) of the blob traffic, measured
 //     by bench/exp_partial.
 //
-// With ReplicationMap::full the protocol is byte-for-byte OptP.
+// The placement is a SubscriptionMap (subscribers = replicas), the same map
+// type ShardedOptP routes on; under SubscriptionMap::full the protocol is
+// byte-for-byte OptP.  Against ShardedOptP it trades messages for bytes: it
+// pays n−1 messages per write, but each carries an n-vector where
+// ShardedOptP ships an n×n dependency matrix, so its bytes per write stay
+// lower at high replication factors (bench/exp_partial, by_factor cell).
 
 #pragma once
 
 #include <memory>
 
 #include "dsm/protocols/optp.h"
-#include "dsm/protocols/replication.h"
+#include "dsm/protocols/subscription.h"
 
 namespace dsm {
 
@@ -32,7 +37,7 @@ class PartialOptP final : public OptP {
  public:
   PartialOptP(ProcessId self, std::size_t n_procs, std::size_t n_vars,
               Endpoint& endpoint, ProtocolObserver& observer,
-              std::shared_ptr<const ReplicationMap> replication,
+              std::shared_ptr<const SubscriptionMap> subscription,
               bool writing_semantics = false, std::size_t write_blob_size = 0);
 
   /// Requires self to be a replica of x.
@@ -43,12 +48,12 @@ class PartialOptP final : public OptP {
 
   [[nodiscard]] std::string name() const override { return "optp-partial"; }
 
-  [[nodiscard]] const ReplicationMap& replication() const noexcept {
-    return *replication_;
+  [[nodiscard]] const SubscriptionMap& subscription() const noexcept {
+    return *subscription_;
   }
 
  private:
-  std::shared_ptr<const ReplicationMap> replication_;
+  std::shared_ptr<const SubscriptionMap> subscription_;
 };
 
 }  // namespace dsm

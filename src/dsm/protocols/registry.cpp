@@ -64,6 +64,13 @@ std::unique_ptr<CausalProtocol> apply_drain_mode(
   return proto;
 }
 
+std::shared_ptr<const SubscriptionMap> map_or_full(
+    const ProtocolConfig& config, std::size_t n_procs, std::size_t n_vars) {
+  if (config.subscription != nullptr) return config.subscription;
+  return std::make_shared<const SubscriptionMap>(
+      SubscriptionMap::full(n_procs, n_vars));
+}
+
 std::unique_ptr<CausalProtocol> build_protocol(ProtocolKind kind,
                                                ProcessId self,
                                                std::size_t n_procs,
@@ -94,27 +101,15 @@ std::unique_ptr<CausalProtocol> build_protocol(ProtocolKind kind,
                                     /*writing_semantics=*/false,
                                     config.write_blob_size,
                                     /*convergent=*/true);
-    case ProtocolKind::kOptPPartial: {
-      auto map = config.replication;
-      if (map == nullptr) {
-        map = std::make_shared<const ReplicationMap>(
-            ReplicationMap::full(n_procs, n_vars));
-      }
-      return std::make_unique<PartialOptP>(self, n_procs, n_vars, endpoint,
-                                           observer, std::move(map),
-                                           /*writing_semantics=*/false,
-                                           config.write_blob_size);
-    }
-    case ProtocolKind::kOptPSharded: {
-      auto map = config.subscription;
-      if (map == nullptr) {
-        map = std::make_shared<const SubscriptionMap>(
-            SubscriptionMap::full(n_procs, n_vars));
-      }
-      return std::make_unique<ShardedOptP>(self, n_procs, n_vars, endpoint,
-                                           observer, std::move(map),
-                                           config.write_blob_size);
-    }
+    case ProtocolKind::kOptPPartial:
+      return std::make_unique<PartialOptP>(
+          self, n_procs, n_vars, endpoint, observer,
+          map_or_full(config, n_procs, n_vars), /*writing_semantics=*/false,
+          config.write_blob_size);
+    case ProtocolKind::kOptPSharded:
+      return std::make_unique<ShardedOptP>(
+          self, n_procs, n_vars, endpoint, observer,
+          map_or_full(config, n_procs, n_vars), config.write_blob_size);
   }
   return nullptr;
 }

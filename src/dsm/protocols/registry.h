@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "dsm/protocols/protocol.h"
-#include "dsm/protocols/replication.h"
 #include "dsm/protocols/subscription.h"
 
 namespace dsm {
@@ -27,7 +26,7 @@ enum class ProtocolKind : std::uint8_t {
   kAnbkhWs,      ///< ANBKH + receiver-side writing semantics ([2]/[14] spirit)
   kTokenWs,      ///< Jiménez et al. token protocol [7]
   kOptPPartial,  ///< OptP over partial replication (after [14]); needs a
-                 ///< ProtocolConfig::replication map and replica-aware
+                 ///< ProtocolConfig::subscription map and replica-aware
                  ///< workloads, so it is NOT in all_protocol_kinds()
   kOptPConv,     ///< OptP + convergent (LWW-arbitrated) causal memory: the
                  ///< "causal+" strengthening — replicas agree on concurrent
@@ -56,11 +55,9 @@ struct ProtocolConfig {
   /// OptP family: bytes of application payload attached to every full write
   /// update (models large objects; see PartialOptP).
   std::size_t write_blob_size = 0;
-  /// kOptPPartial: which process replicates which variable.  Defaults to
-  /// full replication when unset.
-  std::shared_ptr<const ReplicationMap> replication;
-  /// kOptPSharded: which process subscribes to which variable.  Defaults to
-  /// full subscription when unset (the protocol then degenerates to OptP).
+  /// kOptPPartial / kOptPSharded: which process subscribes to (holds)
+  /// which variable.  Defaults to the full map when unset (both protocols
+  /// then degenerate to OptP).
   std::shared_ptr<const SubscriptionMap> subscription;
   /// Buffering protocols: run the seed's O(|pending|²·n) linear drain
   /// instead of the dependency-indexed one — the differential-test baseline

@@ -11,27 +11,15 @@ ShardedOptP::ShardedOptP(ProcessId self, std::size_t n_procs,
                          ProtocolObserver& observer,
                          std::shared_ptr<const SubscriptionMap> subscription,
                          std::size_t write_blob_size)
-    : CausalProtocol(self, n_procs, n_vars, endpoint, observer),
+    : BufferingProtocol(self, n_procs, n_vars, endpoint, observer,
+                        /*writing_semantics=*/false),
       subscription_(std::move(subscription)),
       knowledge_(n_procs, VectorClock{n_procs}),
-      applied_rel_(n_procs),
       last_write_on_(n_vars),
       write_blob_size_(write_blob_size) {
   DSM_REQUIRE(subscription_ != nullptr);
   DSM_REQUIRE(subscription_->n_procs() == n_procs);
   DSM_REQUIRE(subscription_->n_vars() == n_vars);
-}
-
-SeqNo ShardedOptP::dep_at(const WriteUpdate& m, ProcessId row, ProcessId col) {
-  // Entries are sorted by (row, col); binary search keeps the wait condition
-  // O(log |deps|) per lookup.
-  const auto it = std::lower_bound(
-      m.sub_deps.begin(), m.sub_deps.end(), std::pair{row, col},
-      [](const SubDep& d, const std::pair<ProcessId, ProcessId>& key) {
-        return d.row != key.first ? d.row < key.first : d.col < key.second;
-      });
-  if (it == m.sub_deps.end() || it->row != row || it->col != col) return 0;
-  return it->seq;
 }
 
 void ShardedOptP::write(VarId x, Value v) {
@@ -53,7 +41,7 @@ void ShardedOptP::write(VarId x, Value v) {
   m.var = x;
   m.value = v;
   m.write_seq = seq;
-  m.clock = knowledge_[self_];  // summary row (diagnostics; not waited on)
+  m.clock = knowledge_[self_];  // summary row; receivers wait on their own
   m.run = 0;
   m.meta_only = false;
   m.blob.assign(write_blob_size_, static_cast<std::uint8_t>(v));
@@ -79,10 +67,8 @@ void ShardedOptP::write(VarId x, Value v) {
   }
 
   // Local apply (wait-free, liveness L1).
-  store(x, v, WriteId{self_, seq});
-  applied_rel_[self_] = knowledge_[self_][self_];
+  (void)apply_own_write(x, v, seq, knowledge_[self_]);
   last_write_on_[x] = m.sub_deps;
-  observer_->on_apply(self_, WriteId{self_, seq}, /*delayed=*/false);
 }
 
 ReadResult ShardedOptP::read(VarId x) {
@@ -104,93 +90,30 @@ ReadResult ShardedOptP::read(VarId x) {
   return result;
 }
 
-bool ShardedOptP::can_apply(const WriteUpdate& m) const {
-  const ProcessId u = m.sender;
-  for (ProcessId t = 0; t < n_procs_; ++t) {
-    const SeqNo need = dep_at(m, self_, t);
-    if (t == u) {
-      if (applied_rel_[t] != need - 1) return false;
-    } else if (need > applied_rel_[t]) {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::uint64_t ShardedOptP::enabling_deficit(const WriteUpdate& m) const {
-  std::uint64_t missing = 0;
-  for (ProcessId t = 0; t < n_procs_; ++t) {
-    const SeqNo need = t == m.sender ? dep_at(m, self_, t) - 1
-                                     : dep_at(m, self_, t);
-    if (need > applied_rel_[t]) missing += need - applied_rel_[t];
-  }
-  return missing;
-}
-
-void ShardedOptP::apply_update(const WriteUpdate& m, bool delayed) {
-  store(m.var, m.value, WriteId{m.sender, m.write_seq});
-  applied_rel_[m.sender] = dep_at(m, self_, m.sender);
-  last_write_on_[m.var] = m.sub_deps;
-  ++stats_.remote_applies;
-  observer_->on_apply(self_, WriteId{m.sender, m.write_seq}, delayed);
-}
-
-void ShardedOptP::drain_pending() {
-  // Linear drain to fixpoint: each apply can enable earlier arrivals.
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-      ++stats_.drain_scans;
-      if (!can_apply(pending_[i])) continue;
-      WriteUpdate m = std::move(pending_[i]);
-      pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-      apply_update(m, /*delayed=*/true);
-      if (instr_ != nullptr) instr_->on_buffer_drained(pending_.size());
-      progressed = true;
-      break;
-    }
-  }
-}
-
-void ShardedOptP::on_message(ProcessId from, std::span<const std::uint8_t> bytes) {
-  auto decoded = decode_message(bytes);
-  DSM_REQUIRE(decoded.has_value() && "ShardedOptP: malformed frame");
-  auto* update = std::get_if<WriteUpdate>(&*decoded);
-  DSM_REQUIRE(update != nullptr && "ShardedOptP: unexpected message type");
-  WriteUpdate m = std::move(*update);
-  DSM_REQUIRE(m.sender == from);
-  DSM_REQUIRE(m.var < n_vars_);
-
-  ++stats_.messages_received;
-  observer_->on_receipt(self_, m);
-
+void ShardedOptP::localize(WriteUpdate& m) {
   // Routing contract: the sender unicasts to subs(var) only, so an update
   // arriving anywhere else is a dispatch bug, not a protocol state.
+  DSM_REQUIRE(m.var < n_vars_);
   DSM_REQUIRE(subscription_->is_subscriber(m.var, self_) &&
               "ShardedOptP: update routed to a non-subscriber");
 
-  // Reliable exactly-once transport makes a replay impossible in-protocol,
-  // but a duplicate is cheap to detect: its per-self seq is already applied.
-  if (dep_at(m, self_, m.sender) <= applied_rel_[m.sender]) {
-    ++stats_.stale_discards;
-    return;
+  // Row self of the dep matrix is the message's clock in this process's
+  // counter space: entry t counts t's self-relevant writes in m's causal
+  // past, entry m.sender is m's own self-relevant sequence number.  Entries
+  // are sorted by (row, col); absent ones read as 0.
+  VectorClock row(n_procs_);
+  auto it = std::lower_bound(
+      m.sub_deps.begin(), m.sub_deps.end(), self_,
+      [](const SubDep& d, ProcessId r) { return d.row < r; });
+  for (; it != m.sub_deps.end() && it->row == self_; ++it) {
+    DSM_REQUIRE(it->col < n_procs_);
+    row[it->col] = it->seq;
   }
+  m.clock = std::move(row);
+}
 
-  if (can_apply(m)) {
-    apply_update(m, /*delayed=*/false);
-    drain_pending();
-    return;
-  }
-
-  // Write delay (Definition 3): buffer until the enabling applies occur.
-  ++stats_.delayed_writes;
-  if (instr_ != nullptr) {
-    instr_->on_update_buffered(pending_.size() + 1, enabling_deficit(m));
-  }
-  pending_.push_back(std::move(m));
-  stats_.peak_pending = std::max<std::uint64_t>(stats_.peak_pending,
-                                                pending_.size());
+void ShardedOptP::post_apply(const WriteUpdate& m, bool /*installed*/) {
+  last_write_on_[m.var] = m.sub_deps;
 }
 
 const VectorClock& ShardedOptP::knowledge_row(ProcessId q) const {
@@ -199,9 +122,8 @@ const VectorClock& ShardedOptP::knowledge_row(ProcessId q) const {
 }
 
 void ShardedOptP::snapshot(ByteWriter& w) const {
-  CausalProtocol::snapshot(w);
+  BufferingProtocol::snapshot(w);
   for (const VectorClock& row : knowledge_) w.u64_vec(row.components());
-  w.u64_vec(applied_rel_.components());
   w.u64(last_write_on_.size());
   for (const auto& deps : last_write_on_) {
     w.u64(deps.size());
@@ -211,20 +133,15 @@ void ShardedOptP::snapshot(ByteWriter& w) const {
       w.u64(d.seq);
     }
   }
-  w.u64(pending_.size());
-  for (const WriteUpdate& m : pending_) m.encode(w);
 }
 
 bool ShardedOptP::restore(ByteReader& r) {
-  if (!CausalProtocol::restore(r)) return false;
+  if (!BufferingProtocol::restore(r)) return false;
   for (VectorClock& row : knowledge_) {
     auto components = r.u64_vec();
     if (!components || components->size() != n_procs_) return false;
     row = VectorClock{std::move(*components)};
   }
-  auto applied = r.u64_vec();
-  if (!applied || applied->size() != n_procs_) return false;
-  applied_rel_ = VectorClock{std::move(*applied)};
   const auto vars = r.u64();
   if (!vars || *vars != last_write_on_.size()) return false;
   for (auto& deps : last_write_on_) {
@@ -239,16 +156,6 @@ bool ShardedOptP::restore(ByteReader& r) {
       if (!row || !col || !seq) return false;
       deps.push_back(SubDep{*row, *col, *seq});
     }
-  }
-  const auto pending = r.u64();
-  if (!pending || *pending > (1ULL << 24) || *pending > r.remaining()) {
-    return false;
-  }
-  pending_.clear();
-  for (std::uint64_t i = 0; i < *pending; ++i) {
-    auto m = WriteUpdate::decode(r);
-    if (!m) return false;
-    pending_.push_back(std::move(*m));
   }
   return true;
 }

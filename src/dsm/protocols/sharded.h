@@ -15,8 +15,9 @@
 //                       t's s-th q-relevant write is in my causal past.
 //                       Row self doubles as the per-subscriber send counter:
 //                       a write of x ticks K[q][self] for every q ∈ subs(x).
-//   AppliedRel[1..n]  — AppliedRel[t] = number of t's self-relevant writes
-//                       applied here (the subscription-trimmed Apply[]).
+//   Apply[1..n]       — Apply[t] = number of t's self-relevant writes applied
+//                       here (BufferingProtocol::applied_, the
+//                       subscription-trimmed Apply[] of Fig. 5).
 //   LastWriteOn[1..m] — the dependency matrix of the last write applied to
 //                       x_h here (sparse; merged into K on READ, never on
 //                       apply — the paper's false-causality discipline).
@@ -28,9 +29,13 @@
 //
 // On receipt of m from u at subscriber q = self (Fig. 5 with "writes by t"
 // narrowed to "writes by t relevant to me"):
-//   wait until  AppliedRel[u] = m.dep[self][u] − 1
-//               ∧ ∀t≠u : m.dep[self][t] ≤ AppliedRel[t];
-//   then apply;  AppliedRel[u] := m.dep[self][u];  LastWriteOn[x] := m.dep.
+//   wait until  Apply[u] = m.dep[self][u] − 1
+//               ∧ ∀t≠u : m.dep[self][t] ≤ Apply[t];
+//   then apply;  Apply[u] := m.dep[self][u];  LastWriteOn[x] := m.dep.
+//
+// That is OptP's wait condition over row self of the dep matrix, so the
+// receive side is BufferingProtocol's: the localize() hook checks routing and
+// replaces m.clock with that row, and the shared indexed drain does the rest.
 //
 // Why a full matrix and not just row self?  A causal chain can pass through
 // processes that share no variable with the final receiver (t writes x with
@@ -42,10 +47,11 @@
 // OptP (same events, same wait outcomes).
 //
 // Contracts: reads and writes of x require self ∈ subs(x) (DSM_REQUIRE, as
-// PartialOptP does for replicas); an update arriving at a non-subscriber is
-// a routing bug and also aborts.  Crash recovery is out of scope (the map
-// trims exactly the global counters catch-up would need), so the registry
-// refuses to build a recoverable sharded host.
+// PartialOptP does for its map); an update arriving at a non-subscriber is a
+// routing bug and also aborts.  Crash recovery is refused: RecoveryNode's
+// per-sender catch-up log is indexed by write_seq, and a subscriber sees only
+// the writes of its own variables, so the log has holes a catch-up could
+// never fill.  ProtocolHost and run_sim abort on a recoverable sharded host.
 
 #pragma once
 
@@ -53,12 +59,12 @@
 #include <string>
 #include <vector>
 
-#include "dsm/protocols/protocol.h"
+#include "dsm/protocols/buffering.h"
 #include "dsm/protocols/subscription.h"
 
 namespace dsm {
 
-class ShardedOptP final : public CausalProtocol {
+class ShardedOptP final : public BufferingProtocol {
  public:
   ShardedOptP(ProcessId self, std::size_t n_procs, std::size_t n_vars,
               Endpoint& endpoint, ProtocolObserver& observer,
@@ -70,12 +76,6 @@ class ShardedOptP final : public CausalProtocol {
 
   /// Requires self ∈ subs(x).
   ReadResult read(VarId x) override;
-
-  void on_message(ProcessId from, std::span<const std::uint8_t> bytes) override;
-
-  [[nodiscard]] std::size_t pending_count() const override {
-    return pending_.size();
-  }
 
   [[nodiscard]] std::string name() const override { return "optp-sharded"; }
 
@@ -90,11 +90,6 @@ class ShardedOptP final : public CausalProtocol {
   /// under a full map every row equals OptP's Write_co).
   [[nodiscard]] const VectorClock& knowledge_row(ProcessId q) const;
 
-  /// AppliedRel — the subscription-trimmed Apply counters (for tests).
-  [[nodiscard]] const VectorClock& applied_rel() const noexcept {
-    return applied_rel_;
-  }
-
   /// Unicast update messages actually handed to the transport (the O(|subs|)
   /// claim the bench verifies) and dep-matrix entries shipped with them (the
   /// metadata the auditor checks against the Xiang–Vaidya floor).
@@ -106,28 +101,13 @@ class ShardedOptP final : public CausalProtocol {
   }
 
  private:
-  /// The receive wait condition (see file comment).
-  [[nodiscard]] bool can_apply(const WriteUpdate& m) const;
-
-  /// Apply m here: install the value, bump AppliedRel, store LastWriteOn.
-  void apply_update(const WriteUpdate& m, bool delayed);
-
-  /// Enabling-set shortfall of a buffered m (instrumentation only).
-  [[nodiscard]] std::uint64_t enabling_deficit(const WriteUpdate& m) const;
-
-  /// Re-scan the pending buffer until no entry is applicable (the reference
-  /// linear drain; subscription sharding keeps per-process buffers small).
-  void drain_pending();
-
-  /// m.dep[row][col], with absent entries reading as 0.
-  [[nodiscard]] static SeqNo dep_at(const WriteUpdate& m, ProcessId row,
-                                    ProcessId col);
+  /// Routing checks, then m.clock := row self of m's dep matrix.
+  void localize(WriteUpdate& m) override;
+  void post_apply(const WriteUpdate& m, bool installed) override;
 
   std::shared_ptr<const SubscriptionMap> subscription_;
   std::vector<VectorClock> knowledge_;      ///< K, row-major [q][t]
-  VectorClock applied_rel_;                 ///< AppliedRel[1..n]
   std::vector<std::vector<SubDep>> last_write_on_;  ///< sparse, per variable
-  std::vector<WriteUpdate> pending_;
   std::size_t write_blob_size_;
   WriteUpdate outgoing_;  ///< write() scratch (buffer reuse)
   std::uint64_t unicasts_sent_ = 0;

@@ -1,18 +1,22 @@
-// optcm — subscription maps for subscription-routed sharding (after Xiang &
-// Vaidya, "Partial Replication: Causal Consistency, Lower Bounds and an
-// Optimal Algorithm"; see PAPERS.md).
+// optcm — placement maps for the partial-replication protocols (after
+// Raynal–Singhal [14] and Xiang & Vaidya, "Partial Replication: Causal
+// Consistency, Lower Bounds and an Optimal Algorithm"; see PAPERS.md).
 //
 // A SubscriptionMap fixes, per variable, the set of processes *interested*
-// in it.  Unlike ReplicationMap — which only trims the data plane while
-// PartialOptP still broadcasts metadata to all n processes — a subscription
-// map drives routing itself: ShardedOptP sends a write of x to subs(x) and
-// to nobody else, so both the message count and the carried metadata scale
-// with subscription size, not cluster size.  The map is immutable after
-// construction (membership changes are outside the paper's model).
+// in it — the ones that hold its value.  Both partial protocols take one:
 //
-// Writer contract: a process may only read or write variables it subscribes
-// to (enforced by ShardedOptP with DSM_REQUIRE, mirroring PartialOptP's
-// replica contract).
+//   * PartialOptP trims only the data plane: subscribers get the value and
+//     payload blob, everyone else a metadata-only copy, so the Fig. 5 wait
+//     condition keeps complete n-vector Apply counters;
+//   * ShardedOptP routes on it: a write of x goes to subs(x) and to nobody
+//     else, so the message count scales with subscription size, not
+//     cluster size (at the price of an n×n dependency matrix per message).
+//
+// The map is immutable after construction (membership changes are outside
+// the paper's model).
+//
+// Access contract: a process may only read or write variables it subscribes
+// to (both protocols enforce it with DSM_REQUIRE).
 
 #pragma once
 
@@ -30,8 +34,8 @@ namespace dsm {
 
 class SubscriptionMap {
  public:
-  /// Every process subscribes to every variable (ShardedOptP then carries
-  /// the same causal knowledge as OptP and fans out to the full group).
+  /// Every process subscribes to every variable (both partial protocols
+  /// then behave exactly like OptP, up to ShardedOptP's metadata bytes).
   [[nodiscard]] static SubscriptionMap full(std::size_t n_procs,
                                             std::size_t n_vars) {
     SubscriptionMap map(n_procs, n_vars);
@@ -61,10 +65,28 @@ class SubscriptionMap {
     return map;
   }
 
-  /// Parse a CLI spec: "full", "disjoint:G", or an explicit per-variable
-  /// list "v:p,p;v:p,p" covering every variable (e.g. "0:0,1;1:1,2").
-  /// Returns nullopt (with a reason in *error) on a malformed or
-  /// out-of-range spec; never aborts, so the CLI can pre-validate.
+  /// Chained declustering: variable v lives on the `factor` consecutive
+  /// processes starting at v mod n_procs.
+  [[nodiscard]] static SubscriptionMap chained(std::size_t n_procs,
+                                               std::size_t n_vars,
+                                               std::size_t factor) {
+    DSM_REQUIRE(factor >= 1);
+    DSM_REQUIRE(factor <= n_procs);
+    SubscriptionMap map(n_procs, n_vars);
+    for (VarId v = 0; v < n_vars; ++v) {
+      for (std::size_t i = 0; i < factor; ++i) {
+        map.subs_[v][(v + i) % n_procs] = true;
+      }
+    }
+    map.label_ = "chained(" + std::to_string(factor) + ")";
+    return map;
+  }
+
+  /// Parse a CLI spec: "full", "disjoint:G", "chained:F", or an explicit
+  /// per-variable list "v:p,p;v:p,p" covering every variable (e.g.
+  /// "0:0,1;1:1,2").  Returns nullopt (with a reason in *error) on a
+  /// malformed or out-of-range spec; never aborts, so the CLI can
+  /// pre-validate.
   [[nodiscard]] static std::optional<SubscriptionMap> parse(
       std::string_view spec, std::size_t n_procs, std::size_t n_vars,
       std::string* error = nullptr) {
@@ -76,17 +98,26 @@ class SubscriptionMap {
     if (spec == "full") return full(n_procs, n_vars);
     if (spec.rfind("disjoint:", 0) == 0) {
       std::size_t groups = 0;
-      for (const char c : spec.substr(9)) {
-        if (c < '0' || c > '9') return fail("disjoint:G needs an integer G");
-        groups = groups * 10 + static_cast<std::size_t>(c - '0');
+      if (!parse_uint(spec.substr(9), &groups) || groups < 1) {
+        return fail("disjoint:G needs an integer G >= 1");
       }
-      if (groups < 1) return fail("disjoint:G needs G >= 1");
       if (groups > n_procs || groups > n_vars) {
         return fail("disjoint:" + std::to_string(groups) + " exceeds " +
                     std::to_string(n_procs) + " procs / " +
                     std::to_string(n_vars) + " vars");
       }
       return disjoint(n_procs, n_vars, groups);
+    }
+    if (spec.rfind("chained:", 0) == 0) {
+      std::size_t factor = 0;
+      if (!parse_uint(spec.substr(8), &factor) || factor < 1) {
+        return fail("chained:F needs an integer F >= 1");
+      }
+      if (factor > n_procs) {
+        return fail("chained:" + std::to_string(factor) + " exceeds " +
+                    std::to_string(n_procs) + " procs");
+      }
+      return chained(n_procs, n_vars, factor);
     }
     // Explicit list: semicolon-separated "var:proc,proc" entries.
     SubscriptionMap map(n_procs, n_vars);

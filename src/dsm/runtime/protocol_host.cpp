@@ -18,6 +18,9 @@ ProtocolHost::ProtocolHost(const Shape& shape, Endpoint& lower,
 
 void ProtocolHost::build() {
   if (shape_.recoverable) {
+    DSM_REQUIRE(shape_.kind != ProtocolKind::kOptPSharded &&
+                "recoverable hosts cannot run optp-sharded: a subscriber's "
+                "per-sender catch-up log has holes (docs/FAULTS.md)");
     recovery_ = std::make_unique<RecoveryNode>(shape_.self, shape_.n_procs,
                                                *lower_);
     protocol_ =

@@ -133,6 +133,13 @@ SimRunResult run_sim_crash(const SimRunConfig& config,
     if (tel != nullptr) tel->record_checkpoint(p, checkpoints[p].size());
   };
 
+  // RecoveryNode's per-sender catch-up log is indexed by write_seq; under a
+  // subscription map a process sees only its variables' writes, so the log
+  // has holes that catch-up would silently skip.
+  DSM_REQUIRE(config.kind != ProtocolKind::kOptPSharded &&
+              "crash plans cannot run optp-sharded: a subscriber's per-sender "
+              "catch-up log has holes (docs/FAULTS.md)");
+
   const auto build = [&](ProcessId p) {
     ProcNode& node = nodes[p];
     node.arq =

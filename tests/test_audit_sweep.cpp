@@ -405,5 +405,62 @@ TEST(AuditSweep, UnrecordedWriteOnlyCountsAsAMessage) {
   EXPECT_TRUE(got.live());
 }
 
+TEST(AuditSweep, SkipCountsAsDelayOnlyAfterAGap) {
+  // A skip at the order right after its receipt superseded the message on
+  // arrival (no delay); a skip two orders later means the message sat in the
+  // buffer first (a delay, Definition 3).
+  GlobalHistory h(3, 1);
+  const WriteId w1 = h.add_write(0, 0, 1);
+  const WriteId w2 = h.add_write(0, 0, 2);
+  std::vector<RunEvent> events(10);
+  const auto set = [&](std::size_t i, ProcessId at, EvKind kind, WriteId id) {
+    events[i].order = i;
+    events[i].at = at;
+    events[i].kind = kind;
+    events[i].write = id;
+  };
+  set(0, 0, EvKind::kApply, w1);
+  set(1, 0, EvKind::kApply, w2);
+  set(2, 1, EvKind::kReceipt, w1);
+  set(3, 1, EvKind::kSkip, w1);  // next order: superseded on arrival
+  set(4, 1, EvKind::kReceipt, w2);
+  set(5, 1, EvKind::kApply, w2);
+  set(6, 2, EvKind::kReceipt, w1);
+  set(7, 2, EvKind::kReceipt, w2);
+  set(8, 2, EvKind::kSkip, w1);  // two orders later: buffered, then skipped
+  set(9, 2, EvKind::kApply, w2);
+  const auto got = OptimalityAuditor::audit(h, events);
+  expect_same(got, reference_audit(h, events, nullptr), "skips");
+  EXPECT_EQ(got.per_proc[1].delayed, 0u);
+  EXPECT_EQ(got.per_proc[2].delayed, 1u);
+  ASSERT_EQ(got.incidents.size(), 1u);
+  EXPECT_EQ(got.incidents[0].write, w1);
+  EXPECT_FALSE(got.incidents[0].applied);
+  EXPECT_TRUE(got.safe());
+  EXPECT_TRUE(got.live());
+}
+
+TEST(AuditSweep, FirstUnrecordedDelayFlagsOnlyBufferedReceipts) {
+  // audit() accepts a receipt of an unrecorded write that was not buffered,
+  // but needs the causal past of every buffered one.
+  GlobalHistory h(2, 1);
+  (void)h.add_write(0, 0, 1);
+  const WriteId unrecorded{0, 2};
+  std::vector<RunEvent> events(2);
+  const auto set = [&](std::size_t i, std::uint64_t order, EvKind kind) {
+    events[i].order = order;
+    events[i].at = 1;
+    events[i].kind = kind;
+    events[i].write = unrecorded;
+  };
+  set(0, 1, EvKind::kReceipt);
+  set(1, 3, EvKind::kApply);
+  EXPECT_FALSE(OptimalityAuditor::first_unrecorded_delay(h, events));
+  EXPECT_EQ(OptimalityAuditor::audit(h, events).total_delayed(), 0u);
+  events[1].delayed = true;  // now the apply drained it from the buffer
+  EXPECT_EQ(OptimalityAuditor::first_unrecorded_delay(h, events),
+            std::optional<std::size_t>{0});
+}
+
 }  // namespace
 }  // namespace dsm

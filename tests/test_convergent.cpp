@@ -9,6 +9,7 @@
 #include "dsm/history/checker.h"
 #include "dsm/workload/generator.h"
 #include "dsm/workload/sim_harness.h"
+#include "param_print.h"
 #include "test_util.h"
 
 namespace dsm {
@@ -104,6 +105,10 @@ struct ConvParams {
   std::uint64_t seed;
   AccessPattern pattern;
 };
+
+void PrintTo(const ConvParams& p, std::ostream* os) {
+  testutil::print_member_bytes(p, os, &ConvParams::seed, &ConvParams::pattern);
+}
 
 class ConvergentSweep : public ::testing::TestWithParam<ConvParams> {};
 

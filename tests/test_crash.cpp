@@ -323,6 +323,20 @@ TEST(CrashModeDeathTest, TokenProtocolIsRejected) {
   EXPECT_DEATH(run_token_under_crash_plan(), "class-P");
 }
 
+// ShardedOptP is a BufferingProtocol, so only its kind can refuse it: under
+// a subscription map RecoveryNode's per-sender catch-up log has holes, and
+// catch-up would silently stop at the first one.
+void run_sharded_under_crash_plan() {
+  CrashParams p{ProtocolKind::kOptPSharded, 1, 0, 0.0, 34};
+  const ConstantLatency latency(sim_us(100));
+  (void)run_sim(crash_config(p, latency), crash_workload(34));
+}
+
+TEST(CrashModeDeathTest, ShardedProtocolIsRejected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(run_sharded_under_crash_plan(), "catch-up log has holes");
+}
+
 // --------------------------------------------- threaded kill()/restart() ---
 
 TEST(ThreadClusterRecovery, KilledProcessCatchesUpAfterRestart) {
@@ -433,6 +447,18 @@ void build_recoverable_token_cluster() {
 TEST(ThreadClusterRecoveryDeathTest, TokenProtocolIsRejected) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(build_recoverable_token_cluster(), "class-P");
+}
+
+void build_recoverable_sharded_cluster() {
+  ThreadCluster::Config cfg;
+  cfg.kind = ProtocolKind::kOptPSharded;
+  cfg.recoverable = true;
+  ThreadCluster cluster(cfg);
+}
+
+TEST(ThreadClusterRecoveryDeathTest, ShardedProtocolIsRejected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(build_recoverable_sharded_cluster(), "catch-up log has holes");
 }
 
 }  // namespace

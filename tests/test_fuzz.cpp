@@ -13,6 +13,7 @@
 #include "dsm/audit/auditor.h"
 #include "dsm/common/rng.h"
 #include "dsm/history/checker.h"
+#include "param_print.h"
 #include "test_util.h"
 
 namespace dsm {
@@ -24,6 +25,10 @@ struct FuzzParams {
   ProtocolKind kind;
   std::uint64_t seed;
 };
+
+void PrintTo(const FuzzParams& p, std::ostream* os) {
+  testutil::print_member_bytes(p, os, &FuzzParams::kind, &FuzzParams::seed);
+}
 
 class DeliveryFuzz : public ::testing::TestWithParam<FuzzParams> {};
 

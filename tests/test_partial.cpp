@@ -17,43 +17,52 @@ namespace {
 
 using testutil::DirectCluster;
 
-ProtocolConfig partial_config(std::shared_ptr<const ReplicationMap> map,
+ProtocolConfig partial_config(std::shared_ptr<const SubscriptionMap> map,
                               std::size_t blob = 0) {
   ProtocolConfig cfg;
-  cfg.replication = std::move(map);
+  cfg.subscription = std::move(map);
   cfg.write_blob_size = blob;
   return cfg;
 }
 
-// -------------------------------------------------------- ReplicationMap ---
+// --------------------------------------------- chained:F placement maps ---
 
-TEST(ReplicationMap, FullMapReplicatesEverywhere) {
-  const auto map = ReplicationMap::full(3, 4);
+TEST(SubscriptionMap, ChainedFullFactorSubscribesEverywhere) {
+  const auto map = SubscriptionMap::chained(3, 4, 3);
   for (VarId v = 0; v < 4; ++v) {
-    for (ProcessId p = 0; p < 3; ++p) EXPECT_TRUE(map.is_replica(v, p));
+    for (ProcessId p = 0; p < 3; ++p) EXPECT_TRUE(map.is_subscriber(v, p));
   }
-  EXPECT_DOUBLE_EQ(map.mean_factor(), 3.0);
+  EXPECT_TRUE(map.is_full());
+  EXPECT_DOUBLE_EQ(map.mean_size(), 3.0);
 }
 
-TEST(ReplicationMap, ChainedPlacement) {
-  const auto map = ReplicationMap::chained(4, 4, 2);
-  EXPECT_EQ(map.replicas(0), (std::vector<ProcessId>{0, 1}));
-  EXPECT_EQ(map.replicas(1), (std::vector<ProcessId>{1, 2}));
-  EXPECT_EQ(map.replicas(3), (std::vector<ProcessId>{0, 3}));
-  EXPECT_DOUBLE_EQ(map.mean_factor(), 2.0);
+TEST(SubscriptionMap, ChainedPlacement) {
+  const auto map = SubscriptionMap::chained(4, 4, 2);
+  EXPECT_EQ(map.subscribers(0), (std::vector<ProcessId>{0, 1}));
+  EXPECT_EQ(map.subscribers(1), (std::vector<ProcessId>{1, 2}));
+  EXPECT_EQ(map.subscribers(3), (std::vector<ProcessId>{0, 3}));
+  EXPECT_DOUBLE_EQ(map.mean_size(), 2.0);
   EXPECT_EQ(map.vars_of(1), (std::vector<VarId>{0, 1}));
+  EXPECT_EQ(map.describe(), "chained(2)");
 }
 
-TEST(ReplicationMap, FactorClampedToProcs) {
-  const auto map = ReplicationMap::chained(2, 3, 10);
-  EXPECT_DOUBLE_EQ(map.mean_factor(), 2.0);
+TEST(SubscriptionMap, ChainedSpecParsesAndRejectsBadFactors) {
+  const auto map = SubscriptionMap::parse("chained:2", 4, 4);
+  ASSERT_TRUE(map.has_value());
+  EXPECT_EQ(map->subscribers(3), (std::vector<ProcessId>{0, 3}));
+  // The factor counts replicas, so it must lie in [1, procs].
+  for (const char* bad : {"chained:0", "chained:5", "chained:", "chained:x"}) {
+    std::string error;
+    EXPECT_FALSE(SubscriptionMap::parse(bad, 4, 4, &error).has_value()) << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+  }
 }
 
 // ------------------------------------------------------------ PartialOptP --
 
 TEST(PartialOptP, FullMapBehavesExactlyLikeOptP) {
   const auto map =
-      std::make_shared<const ReplicationMap>(ReplicationMap::full(3, 2));
+      std::make_shared<const SubscriptionMap>(SubscriptionMap::full(3, 2));
   DirectCluster partial(ProtocolKind::kOptPPartial, 3, 2, partial_config(map));
   DirectCluster plain(ProtocolKind::kOptP, 3, 2);
   for (auto* c : {&partial, &plain}) {
@@ -74,7 +83,7 @@ TEST(PartialOptP, FullMapBehavesExactlyLikeOptP) {
 TEST(PartialOptP, NonReplicaGetsMetadataOnly) {
   // x0 replicated at {p0, p1}; p2 receives only the metadata copy.
   const auto map =
-      std::make_shared<const ReplicationMap>(ReplicationMap::chained(3, 3, 2));
+      std::make_shared<const SubscriptionMap>(SubscriptionMap::chained(3, 3, 2));
   DirectCluster c(ProtocolKind::kOptPPartial, 3, 3, partial_config(map, 64));
   c.write(0, 0, 7);
   c.deliver_all();
@@ -86,7 +95,7 @@ TEST(PartialOptP, NonReplicaGetsMetadataOnly) {
 
 TEST(PartialOptP, MetaCopiesAreSmaller) {
   const auto map =
-      std::make_shared<const ReplicationMap>(ReplicationMap::chained(3, 3, 2));
+      std::make_shared<const SubscriptionMap>(SubscriptionMap::chained(3, 3, 2));
   DirectCluster c(ProtocolKind::kOptPPartial, 3, 3,
                   partial_config(map, 1024));
   c.write(0, 0, 7);
@@ -106,7 +115,7 @@ TEST(PartialOptP, CausalChainThroughUnreplicatedVariable) {
   // p2 (not an x0 replica) must still order x1's apply after x0's METADATA
   // apply — deliver x1's update first and check it buffers.
   const auto map =
-      std::make_shared<const ReplicationMap>(ReplicationMap::chained(3, 3, 2));
+      std::make_shared<const SubscriptionMap>(SubscriptionMap::chained(3, 3, 2));
   DirectCluster c(ProtocolKind::kOptPPartial, 3, 3, partial_config(map));
   c.write(0, 0, 1);
   ASSERT_TRUE(c.deliver_to(1, 0));  // full copy at p1
@@ -130,7 +139,7 @@ TEST(PartialOptPDeathTest, AccessOutsideReplicaSetDies) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   // chained(3, 3, 2): x0 at {p0, p1} — p2 is no replica of it.
   const auto map =
-      std::make_shared<const ReplicationMap>(ReplicationMap::chained(3, 3, 2));
+      std::make_shared<const SubscriptionMap>(SubscriptionMap::chained(3, 3, 2));
   DirectCluster c(ProtocolKind::kOptPPartial, 3, 3, partial_config(map));
   EXPECT_DEATH(c.write(2, 0, 1), "replicas");
   EXPECT_DEATH((void)c.read(2, 0), "replicas");
@@ -167,8 +176,8 @@ TEST_P(PartialSweep, ReplicaWorkloadIsConsistentSafeLiveOptimal) {
   spec.mean_gap = sim_us(250);
   spec.seed = seed;
 
-  const auto map = std::make_shared<const ReplicationMap>(
-      ReplicationMap::chained(kProcs, kVars, factor));
+  const auto map = std::make_shared<const SubscriptionMap>(
+      SubscriptionMap::chained(kProcs, kVars, factor));
   const auto latency =
       make_latency(LatencyKind::kLogNormal, sim_us(400), 1.2, seed ^ 0xAB);
 
@@ -178,10 +187,10 @@ TEST_P(PartialSweep, ReplicaWorkloadIsConsistentSafeLiveOptimal) {
   cfg.n_vars = kVars;
   cfg.latency = latency.get();
   cfg.protocol_config = {};
-  cfg.protocol_config.replication = map;
+  cfg.protocol_config.subscription = map;
   cfg.protocol_config.write_blob_size = 128;
 
-  const auto result = run_sim(cfg, generate_replica_workload(spec, *map));
+  const auto result = run_sim(cfg, generate_subscriber_workload(spec, *map));
   ASSERT_TRUE(result.settled);
 
   EXPECT_TRUE(
@@ -217,16 +226,16 @@ TEST(PartialOptP, BandwidthScalesWithFactor) {
   std::uint64_t bytes_at_factor[2] = {0, 0};
   const std::size_t factors[2] = {2, 6};
   for (int i = 0; i < 2; ++i) {
-    const auto map = std::make_shared<const ReplicationMap>(
-        ReplicationMap::chained(kProcs, kVars, factors[i]));
+    const auto map = std::make_shared<const SubscriptionMap>(
+        SubscriptionMap::chained(kProcs, kVars, factors[i]));
     SimRunConfig cfg;
     cfg.kind = ProtocolKind::kOptPPartial;
     cfg.n_procs = kProcs;
     cfg.n_vars = kVars;
     cfg.latency = latency.get();
-    cfg.protocol_config.replication = map;
+    cfg.protocol_config.subscription = map;
     cfg.protocol_config.write_blob_size = 2048;
-    const auto result = run_sim(cfg, generate_replica_workload(spec, *map));
+    const auto result = run_sim(cfg, generate_subscriber_workload(spec, *map));
     ASSERT_TRUE(result.settled);
     bytes_at_factor[i] = result.net.bytes_sent;
   }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "dsm/common/rng.h"
 #include "dsm/protocols/buffering.h"
 #include "dsm/protocols/run_recorder.h"
+#include "dsm/protocols/subscription.h"
 #include "test_util.h"
 
 namespace dsm {
@@ -34,22 +36,30 @@ struct RunResult {
 /// come from one Rng, and the protocols' externally visible behaviour is
 /// identical on both drain implementations, so the schedule replays
 /// identically for a given seed.
-RunResult run_scenario(ProtocolKind kind, std::uint64_t seed, bool reference) {
+/// With a subscription map (optp-sharded), every access draws its variable
+/// from the process's subscribed set instead.
+RunResult run_scenario(ProtocolKind kind, std::uint64_t seed, bool reference,
+                       std::shared_ptr<const SubscriptionMap> map = nullptr) {
   constexpr std::size_t kProcs = 4;
   constexpr std::size_t kVars = 4;
   ProtocolConfig config;
   config.reference_drain = reference;
+  config.subscription = map;
   DirectCluster c(kind, kProcs, kVars, config);
   Rng rng(seed);
+  const auto pick_var = [&](ProcessId p) {
+    if (map == nullptr) return static_cast<VarId>(rng.below(kVars));
+    const auto vars = map->vars_of(p);
+    return vars[rng.below(vars.size())];
+  };
 
   for (int step = 0; step < 400; ++step) {
     const auto p = static_cast<ProcessId>(rng.below(kProcs));
     const std::uint64_t action = rng.below(100);
     if (action < 35) {
-      c.write(p, static_cast<VarId>(rng.below(kVars)),
-              static_cast<Value>(step + 1));
+      c.write(p, pick_var(p), static_cast<Value>(step + 1));
     } else if (action < 50) {
-      (void)c.read(p, static_cast<VarId>(rng.below(kVars)));
+      (void)c.read(p, pick_var(p));
     } else if (action < 85) {
       if (c.in_flight() > 0) c.deliver(rng.below(c.in_flight()));
     } else if (action < 95) {
@@ -74,22 +84,16 @@ RunResult run_scenario(ProtocolKind kind, std::uint64_t seed, bool reference) {
   }
   for (ProcessId p = 0; p < kProcs; ++p) {
     for (VarId x = 0; x < kVars; ++x) {
-      r.reads.push_back(c.node(p).read(x).value);
+      if (map == nullptr || map->is_subscriber(x, p)) {
+        r.reads.push_back(c.node(p).read(x).value);
+      }
     }
     r.stats.push_back(c.node(p).stats());
   }
   return r;
 }
 
-class DrainDifferential
-    : public ::testing::TestWithParam<std::tuple<ProtocolKind, std::uint64_t>> {
-};
-
-TEST_P(DrainDifferential, IndexedDrainMatchesReferenceExactly) {
-  const auto [kind, seed] = GetParam();
-  const RunResult ref = run_scenario(kind, seed, /*reference=*/true);
-  const RunResult idx = run_scenario(kind, seed, /*reference=*/false);
-
+void expect_identical_runs(const RunResult& ref, const RunResult& idx) {
   ASSERT_GT(ref.events.size(), 0u);
   ASSERT_EQ(ref.events.size(), idx.events.size());
   for (std::size_t i = 0; i < ref.events.size(); ++i) {
@@ -111,6 +115,16 @@ TEST_P(DrainDifferential, IndexedDrainMatchesReferenceExactly) {
   }
 }
 
+class DrainDifferential
+    : public ::testing::TestWithParam<std::tuple<ProtocolKind, std::uint64_t>> {
+};
+
+TEST_P(DrainDifferential, IndexedDrainMatchesReferenceExactly) {
+  const auto [kind, seed] = GetParam();
+  expect_identical_runs(run_scenario(kind, seed, /*reference=*/true),
+                        run_scenario(kind, seed, /*reference=*/false));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     KindsAndSeeds, DrainDifferential,
     ::testing::Combine(::testing::Values(ProtocolKind::kOptP,
@@ -124,6 +138,40 @@ INSTANTIATE_TEST_SUITE_P(
       for (char& ch : name) {
         if (ch == '-') ch = '_';  // gtest names: [A-Za-z0-9_] only
       }
+      return name + "_seed" + std::to_string(std::get<1>(param_info.param));
+    });
+
+// optp-sharded waits on row self of its dependency matrix through the same
+// drain; the reference engine is its oracle too, on restricted maps where
+// the matrix rows differ from OptP's Write_co.
+class ShardedDrainDifferential
+    : public ::testing::TestWithParam<std::tuple<std::string, std::uint64_t>> {
+};
+
+TEST_P(ShardedDrainDifferential, IndexedDrainMatchesReferenceExactly) {
+  const auto& [spec, seed] = GetParam();
+  const auto map = SubscriptionMap::parse(spec, 4, 4);
+  ASSERT_TRUE(map.has_value()) << spec;
+  const auto shared = std::make_shared<const SubscriptionMap>(*map);
+  const RunResult ref =
+      run_scenario(ProtocolKind::kOptPSharded, seed, /*reference=*/true, shared);
+  const RunResult idx =
+      run_scenario(ProtocolKind::kOptPSharded, seed, /*reference=*/false, shared);
+  std::uint64_t delayed = 0;
+  for (const ProtocolStats& s : ref.stats) delayed += s.delayed_writes;
+  EXPECT_GT(delayed, 0u) << "the scenario must exercise the buffer";
+  expect_identical_runs(ref, idx);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MapsAndSeeds, ShardedDrainDifferential,
+    ::testing::Combine(::testing::Values("disjoint:2", "chained:2",
+                                         "0:0,1;1:1,2,3;2:0,2,3;3:0,3"),
+                       ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u)),
+    [](const auto& param_info) {
+      std::string name = std::get<0>(param_info.param);
+      if (name.find(';') != std::string::npos) name = "explicit";
+      std::erase(name, ':');  // gtest names: [A-Za-z0-9_] only
       return name + "_seed" + std::to_string(std::get<1>(param_info.param));
     });
 

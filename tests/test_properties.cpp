@@ -25,6 +25,7 @@
 #include "dsm/history/checker.h"
 #include "dsm/workload/generator.h"
 #include "dsm/workload/sim_harness.h"
+#include "param_print.h"
 
 namespace dsm {
 namespace {
@@ -34,6 +35,11 @@ struct SweepParams {
   AccessPattern pattern;
   std::uint64_t seed;
 };
+
+void PrintTo(const SweepParams& p, std::ostream* os) {
+  testutil::print_member_bytes(p, os, &SweepParams::latency,
+                               &SweepParams::pattern, &SweepParams::seed);
+}
 
 std::string param_name(const ::testing::TestParamInfo<SweepParams>& info) {
   return std::string(to_string(info.param.latency)) + "_" +

@@ -10,6 +10,7 @@
 #include "dsm/history/checker.h"
 #include "dsm/runtime/causal_memory.h"
 #include "dsm/runtime/thread_cluster.h"
+#include "param_print.h"
 
 namespace dsm {
 namespace {
@@ -66,6 +67,10 @@ struct StressParams {
   ProtocolKind kind;
   std::uint64_t seed;
 };
+
+void PrintTo(const StressParams& p, std::ostream* os) {
+  testutil::print_member_bytes(p, os, &StressParams::kind, &StressParams::seed);
+}
 
 class ThreadedStress : public ::testing::TestWithParam<StressParams> {};
 

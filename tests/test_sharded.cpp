@@ -157,6 +157,54 @@ TEST(ShardedOptP, FullMapBehavesExactlyLikeOptP) {
   }
 }
 
+TEST(ShardedOptP, FullMapLossyRunMatchesOptPFieldForField) {
+  // The shared buffering core makes the degeneration exact down to the drain
+  // bookkeeping: under a full map, over a lossy ARQ channel, every observer
+  // event and every ProtocolStats field — drain_scans included — matches.
+  WorkloadSpec spec;
+  spec.n_procs = 8;
+  spec.n_vars = 8;
+  spec.ops_per_proc = 60;
+  spec.write_fraction = 0.8;
+  spec.seed = 5;
+  const auto latency =
+      make_latency(LatencyKind::kLogNormal, sim_us(400), 1.0, 0x5A);
+  SimRunResult runs[2];
+  const ProtocolKind kinds[2] = {ProtocolKind::kOptP,
+                                 ProtocolKind::kOptPSharded};
+  for (int i = 0; i < 2; ++i) {
+    SimRunConfig cfg;
+    cfg.kind = kinds[i];
+    cfg.n_procs = spec.n_procs;
+    cfg.n_vars = spec.n_vars;
+    cfg.latency = latency.get();
+    cfg.fault.drop = 0.15;
+    cfg.fault.seed = 3;
+    runs[i] = run_sim(cfg, generate_workload(spec));
+    ASSERT_TRUE(runs[i].settled);
+  }
+  EXPECT_EQ(export_trace_jsonl(*runs[0].recorder),
+            export_trace_jsonl(*runs[1].recorder));
+  ASSERT_EQ(runs[0].stats.size(), runs[1].stats.size());
+  std::uint64_t delayed = 0;
+  for (std::size_t p = 0; p < runs[0].stats.size(); ++p) {
+    const ProtocolStats& a = runs[0].stats[p];
+    const ProtocolStats& b = runs[1].stats[p];
+    EXPECT_EQ(a.writes_issued, b.writes_issued) << "p" << p;
+    EXPECT_EQ(a.reads_issued, b.reads_issued) << "p" << p;
+    EXPECT_EQ(a.messages_received, b.messages_received) << "p" << p;
+    EXPECT_EQ(a.remote_applies, b.remote_applies) << "p" << p;
+    EXPECT_EQ(a.delayed_writes, b.delayed_writes) << "p" << p;
+    EXPECT_EQ(a.skipped_writes, b.skipped_writes) << "p" << p;
+    EXPECT_EQ(a.stale_discards, b.stale_discards) << "p" << p;
+    EXPECT_EQ(a.peak_pending, b.peak_pending) << "p" << p;
+    EXPECT_EQ(a.drain_scans, b.drain_scans) << "p" << p;
+    EXPECT_EQ(a.purges_avoided, b.purges_avoided) << "p" << p;
+    delayed += a.delayed_writes;
+  }
+  EXPECT_GT(delayed, 0u);  // the loss really exercised the buffer
+}
+
 TEST(ShardedOptP, FullMapCollapsesKnowledgeRows) {
   // Every write is q-relevant for every q under a full map, so all n rows of
   // K evolve identically (each equals OptP's Write_co).

@@ -72,15 +72,19 @@
 //                          require byte-identical per-process observer-event
 //                          sequences (h1 only; fig1/fig3 choreograph latency,
 //                          which real sockets cannot reproduce)
-//   --subscriptions=SPEC   subscription map for --protocol=optp-sharded:
-//                          "full", "disjoint:G", or an explicit per-variable
-//                          list "v:p,p;v:p,p".  Writes route to the
-//                          variable's subscribers only; the audit's liveness
-//                          obligation narrows to subscribers.  Paper scripts
-//                          must stay inside the map (every process only
-//                          accesses variables it subscribes to).  Sharded
-//                          runs keep no durable state: incompatible with
-//                          --recoverable/--state-dir/--kill-host/--respawn/
+//   --subscriptions=SPEC   placement map for --protocol=optp-sharded or
+//                          optp-partial: "full", "disjoint:G", "chained:F",
+//                          or an explicit per-variable list "v:p,p;v:p,p".
+//                          optp-sharded routes writes to the variable's
+//                          subscribers only, and its audit's liveness
+//                          obligation narrows to subscribers; optp-partial
+//                          ships values to subscribers and metadata to
+//                          everyone.  Paper scripts must stay inside the map
+//                          (every process only accesses variables it
+//                          subscribes to).  Sharded runs keep no durable
+//                          state (a subscriber's per-sender catch-up log has
+//                          holes): incompatible with --recoverable/
+//                          --state-dir/--kill-host/--respawn/
 //                          --wal-group-commit and nemesis crash/wal-fail
 //                          entries
 //   --shards=G             shorthand for --subscriptions=disjoint:G
@@ -105,18 +109,17 @@
 //   --zipf=THETA          shorthand for --pattern=zipf --zipf-s=THETA
 //   --gap=USEC            mean think time between ops
 //
-// run-only sharding/replication flags:
-//   --subscriptions=SPEC  subscription map for --protocol=optp-sharded
-//                         ("full", "disjoint:G", or "v:p,p;v:p,p"); the
-//                         generated workload restricts every process to its
-//                         subscribed variables, and the audit narrows the
-//                         liveness obligation to subscribers.  Incompatible
-//                         with --crash (ShardedOptP has no checkpoint seam)
+// run-only partial-replication flags:
+//   --subscriptions=SPEC  placement map for --protocol=optp-sharded or
+//                         optp-partial ("full", "disjoint:G", "chained:F" —
+//                         F consecutive replicas per variable — or
+//                         "v:p,p;v:p,p"); the generated workload restricts
+//                         every process to its subscribed variables.  For
+//                         optp-sharded the audit narrows the liveness
+//                         obligation to subscribers.  optp-sharded is
+//                         incompatible with --crash: RecoveryNode's
+//                         per-sender catch-up log has holes under a map
 //   --shards=G            shorthand for --subscriptions=disjoint:G
-//   --replication=F       chained replication factor for
-//                         --protocol=optp-partial (F replicas per variable;
-//                         default full); the generated workload restricts
-//                         every process to variables it replicates
 //
 // run-only typed-object flags (docs/OBJECTS.md):
 //   --objects=SPEC        sequential spec per variable: one of register,
@@ -208,10 +211,9 @@ struct CommonOptions {
   double spread = 1.0;
   FaultPlan fault;
   CrashPlan crash;
-  /// optp-sharded only (--subscriptions/--shards); null = full map.
+  /// optp-sharded / optp-partial only (--subscriptions/--shards); null =
+  /// full map.
   std::shared_ptr<const SubscriptionMap> subscription;
-  /// optp-partial only (--replication); null = full replication.
-  std::shared_ptr<const ReplicationMap> replication;
   /// Typed objects (--objects / --script=objects); null = plain registers.
   std::shared_ptr<const ObjectSchema> objects;
 };
@@ -339,9 +341,11 @@ bool parse_subscription_flags(Flags& flags, ProtocolKind kind,
   std::string spec = flags.get("subscriptions", "");
   const long long shards = flags.get_int("shards", 0);
   if (spec.empty() && shards == 0) return true;
-  if (kind != ProtocolKind::kOptPSharded) {
+  if (kind != ProtocolKind::kOptPSharded &&
+      kind != ProtocolKind::kOptPPartial) {
     std::fprintf(stderr,
-                 "--subscriptions/--shards require --protocol=optp-sharded\n");
+                 "--subscriptions/--shards require --protocol=optp-sharded "
+                 "or optp-partial\n");
     return false;
   }
   if (!spec.empty() && shards != 0) {
@@ -387,23 +391,6 @@ bool scripts_within(const std::vector<Script>& scripts,
   return true;
 }
 
-bool scripts_within(const std::vector<Script>& scripts,
-                    const ReplicationMap& map, const char* flag) {
-  for (ProcessId p = 0; p < scripts.size(); ++p) {
-    for (const ScriptStep& step : scripts[p]) {
-      if (!map.is_replica(step.var, p)) {
-        std::fprintf(stderr,
-                     "p%u accesses x%u but %s does not replicate it there "
-                     "(the script must stay inside the map)\n",
-                     static_cast<unsigned>(p), static_cast<unsigned>(step.var),
-                     flag);
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 SimRunResult run_one(ProtocolKind kind, const CommonOptions& o,
                      RunTelemetry* telemetry = nullptr,
                      const std::vector<Script>* scripts = nullptr,
@@ -420,7 +407,6 @@ SimRunResult run_one(ProtocolKind kind, const CommonOptions& o,
   cfg.protocol_config.token_max_rounds =
       o.spec.ops_per_proc * o.spec.n_procs * 50 + 1000;
   cfg.protocol_config.subscription = o.subscription;
-  cfg.protocol_config.replication = o.replication;
   cfg.protocol_config.objects = o.objects;
   cfg.telemetry = telemetry;
   if (choreo != nullptr) cfg.latency_override = *choreo;
@@ -594,9 +580,9 @@ int cmd_run(Flags& flags) {
   }
   if (o.crash.active() && *kind == ProtocolKind::kOptPSharded) {
     std::fprintf(stderr,
-                 "optp-sharded cannot run under a crash plan: it is not a "
-                 "class-P buffering protocol, so the checkpoint/catch-up "
-                 "recovery stack does not apply (see docs/FAULTS.md)\n");
+                 "optp-sharded cannot run under a crash plan: a subscriber "
+                 "sees only its variables' writes, so its per-sender "
+                 "catch-up log has holes (see docs/FAULTS.md)\n");
     return 2;
   }
   const bool want_trace = flags.get_bool("trace");
@@ -688,36 +674,15 @@ int cmd_run(Flags& flags) {
       return 2;
     }
   }
-  // Sharding/replication maps parse against the FINAL shape (a paper script
-  // may have just overridden --procs/--vars).
+  // Placement maps parse against the FINAL shape (a paper script may have
+  // just overridden --procs/--vars).
   if (!parse_subscription_flags(flags, *kind, o.spec.n_procs, o.spec.n_vars,
                                 o.subscription)) {
     return 2;
   }
-  const long long repl_factor = flags.get_int("replication", 0);
-  if (repl_factor != 0) {
-    if (*kind != ProtocolKind::kOptPPartial) {
-      std::fprintf(stderr, "--replication requires --protocol=optp-partial\n");
-      return 2;
-    }
-    if (repl_factor < 1 ||
-        static_cast<std::size_t>(repl_factor) > o.spec.n_procs) {
-      std::fprintf(stderr, "--replication must be in [1, procs]\n");
-      return 2;
-    }
-    o.replication = std::make_shared<const ReplicationMap>(
-        ReplicationMap::chained(o.spec.n_procs, o.spec.n_vars,
-                                static_cast<std::size_t>(repl_factor)));
-  }
-  if (!scripts.empty()) {
-    if (o.subscription != nullptr &&
-        !scripts_within(scripts, *o.subscription, "--subscriptions")) {
-      return 2;
-    }
-    if (o.replication != nullptr &&
-        !scripts_within(scripts, *o.replication, "--replication")) {
-      return 2;
-    }
+  if (!scripts.empty() && o.subscription != nullptr &&
+      !scripts_within(scripts, *o.subscription, "--subscriptions")) {
+    return 2;
   }
   if (o.objects != nullptr && scripts.empty() && o.subscription != nullptr &&
       !o.subscription->is_full()) {
@@ -735,10 +700,12 @@ int cmd_run(Flags& flags) {
   if (scripts.empty()) {
     if (o.objects != nullptr) {
       scripts = generate_mixed_object_workload(o.spec, *o.objects, mix);
-    } else if (o.subscription != nullptr && !o.subscription->is_full()) {
+    } else if (o.subscription != nullptr &&
+               (!o.subscription->is_full() ||
+                *kind == ProtocolKind::kOptPPartial)) {
+      // optp-partial keeps the map's workload even when the map is full
+      // (chained:F with F = procs), as its replica workload always did.
       scripts = generate_subscriber_workload(o.spec, *o.subscription);
-    } else if (o.replication != nullptr) {
-      scripts = generate_replica_workload(o.spec, *o.replication);
     }
   }
 
@@ -765,7 +732,12 @@ int cmd_run(Flags& flags) {
   } else {
     std::printf("workload: %s\n\n", o.spec.describe().c_str());
   }
-  print_report(*kind, result, o.subscription.get(), o.objects.get(),
+  // PartialOptP applies every write everywhere (metadata-only copies at
+  // non-subscribers), so its run keeps the full-replication audit.
+  print_report(*kind, result,
+               *kind == ProtocolKind::kOptPSharded ? o.subscription.get()
+                                                   : nullptr,
+               o.objects.get(),
                want_telemetry ? &*tel : nullptr,
                /*expect_convergence=*/script == "objects");
   if (want_history) {
@@ -837,6 +809,17 @@ int cmd_replay(Flags& flags) {
     for (const auto& v : check.violations) {
       std::printf("  %s: %s\n", to_string(v.kind), v.detail.c_str());
     }
+    return 1;
+  }
+  // Definition 3 needs the causal past of every buffered write, so a trace
+  // that buffers a write its history never recorded cannot be audited.
+  if (const auto j = OptimalityAuditor::first_unrecorded_delay(
+          imported->history, imported->events)) {
+    const RunEvent& e = imported->events[*j];
+    std::printf("not audited: %s at order %llu buffers a write the trace's "
+                "history does not record\n",
+                event_to_string(e).c_str(),
+                static_cast<unsigned long long>(e.order));
     return 1;
   }
   const auto audit = OptimalityAuditor::audit(imported->history, imported->events);
@@ -943,8 +926,8 @@ int cmd_faults(Flags& flags) {
     }
     if (o.crash.active() && kind == ProtocolKind::kOptPSharded) {
       std::fprintf(stderr,
-                   "optp-sharded cannot run under a crash plan: it is not a "
-                   "class-P buffering protocol (see docs/FAULTS.md)\n");
+                   "optp-sharded cannot run under a crash plan: its "
+                   "per-sender catch-up log has holes (see docs/FAULTS.md)\n");
       return 2;
     }
     const auto result = run_one(kind, o);
@@ -1325,22 +1308,22 @@ int cmd_drive(Flags& flags) {
                                 subscription)) {
     return 2;
   }
-  if (*kind == ProtocolKind::kOptPSharded) {
-    // ShardedOptP is not a class-P buffering protocol: there is no WAL/
-    // checkpoint seam to restore from, so every durable-recovery mode is
-    // off-limits.
-    if (flags.get_bool("recoverable") || !state_dir.empty() ||
-        want_kill_host || want_respawn || wal_group_commit || nemesis_durable) {
-      std::fprintf(stderr,
-                   "optp-sharded has no durable-recovery seam: drop "
-                   "--recoverable/--state-dir/--kill-host/--respawn/"
-                   "--wal-group-commit and nemesis crash/wal-fail entries\n");
-      return 2;
-    }
-    if (subscription != nullptr &&
-        !scripts_within(scripts, *subscription, "--subscriptions")) {
-      return 2;
-    }
+  // A subscriber sees only its variables' writes, so RecoveryNode's
+  // per-sender catch-up log would have holes: every durable-recovery mode is
+  // off-limits for ShardedOptP.
+  if (*kind == ProtocolKind::kOptPSharded &&
+      (flags.get_bool("recoverable") || !state_dir.empty() || want_kill_host ||
+       want_respawn || wal_group_commit || nemesis_durable)) {
+    std::fprintf(stderr,
+                 "optp-sharded cannot recover (its per-sender catch-up log "
+                 "has holes): drop --recoverable/--state-dir/--kill-host/"
+                 "--respawn/--wal-group-commit and nemesis crash/wal-fail "
+                 "entries\n");
+    return 2;
+  }
+  if (subscription != nullptr &&
+      !scripts_within(scripts, *subscription, "--subscriptions")) {
+    return 2;
   }
   if (flags.get_bool("dry-run")) return 0;
   if ((want_respawn || nemesis_durable || wal_group_commit) &&

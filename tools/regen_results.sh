@@ -44,10 +44,11 @@ echo "wrote results/BENCH_storage.json"
 echo "wrote results/BENCH_chaos.json"
 
 # The partial-replication / subscription-routing baseline (docs/NETWORK.md):
-# PartialOptP bytes-by-factor plus ShardedOptP's message-floor and shard-
-# scaling cells.  Fully seeded and simulated — every column is deterministic,
-# and the bench itself gates msgs == Xiang–Vaidya floor and zero cross-shard
-# receipts (nonzero exit on violation).
+# PartialOptP bytes-by-factor (with ShardedOptP on the same chained maps for
+# contrast) plus ShardedOptP's message-floor and shard-scaling cells.  Fully
+# seeded and simulated — every column is deterministic, and the bench itself
+# gates msgs == Xiang–Vaidya floor and zero cross-shard receipts (nonzero
+# exit on violation).
 "$build/bench/exp_partial" --bench-json results/BENCH_partial.json > /dev/null
 echo "wrote results/BENCH_partial.json"
 
@@ -72,6 +73,22 @@ require_table() {
     fi
   done
 }
+# BENCH_core.json keeps named cells instead of tables; the drain cells must
+# carry both engines' measurements.
+require_cell() {
+  file="$1"; cell="$2"; shift 2
+  for field in "$@"; do
+    if ! jq -e --arg c "$cell" --arg f "$field" \
+        '.[$c] | has($f)' "$file" > /dev/null 2>&1; then
+      echo "schema guard: $file cell \"$cell\" is missing field \"$field\"" >&2
+      exit 1
+    fi
+  done
+}
+require_cell results/BENCH_core.json sim_loss_n16 \
+  before_reference_drain after_indexed_drain
+require_cell results/BENCH_core.json sim_loss_n16_sharded \
+  before_reference_drain after_indexed_drain
 require_table results/BENCH_net.json \
   "loopback frame round-trip (2 transports, 1 loop)" \
   "payload (B)" "rtt p50 (us)" "rtt p99 (us)"
@@ -89,7 +106,8 @@ require_table results/BENCH_storage.json \
   "tick (records)" "appends/s" "fsyncs" "group commits"
 require_table results/BENCH_partial.json \
   "exp_partial_by_factor" \
-  "factor" "net bytes" "bytes/write" "vs full (%)"
+  "factor" "net bytes" "bytes/write" "vs full (%)" "sharded bytes/write" \
+  "sharded msgs/write"
 require_table results/BENCH_partial.json \
   "exp_partial_subscription" \
   "groups" "subs/var" "msgs/write" "floor/write" "floor hit" "cross receipts"
